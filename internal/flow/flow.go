@@ -3,13 +3,12 @@
 //
 // A Flow is a bulk transfer of a known size that traverses an ordered set of
 // capacity Links (e.g. source NIC -> switch fabric -> destination NIC, or a
-// single disk link for local I/O). Whenever the set of active flows changes,
-// the package recomputes a max-min fair rate allocation by progressive
-// filling: repeatedly find the most constrained link, give every unfrozen
-// flow crossing it an equal share of that link's residual capacity, and
-// freeze those flows. Flows may additionally carry an individual rate cap
-// (application pacing, hypervisor migration speed limits), which is treated
-// as a private link.
+// single disk link for local I/O). The rates are a max-min fair allocation
+// over the active flows, computed by progressive filling: repeatedly find
+// the most constrained link, give every unfrozen flow crossing it an equal
+// share of that link's residual capacity, and freeze those flows. Flows may
+// additionally carry an individual rate cap (application pacing, hypervisor
+// migration speed limits), which is treated as a private link.
 //
 // This is the standard fluid approximation used by flow-level datacenter
 // simulators: it captures who saturates which resource and when, without
@@ -21,6 +20,14 @@
 // from the changed flow. Links that provably cannot saturate (see
 // Link.transparent) do not couple their flows, so a non-blocking switch
 // fabric never merges otherwise-disjoint migrations into one component.
+//
+// Starts are coalesced per instant: Start places the flow at once but defers
+// the refill to the engine's BeforeAdvance hook, so all the flows started at
+// one instant (a striped parallel-file-system request fans out into one per
+// server) share a single refill seeded from all of them. Cancel, SetCapacity
+// and completion sweeps refill immediately, and every read of rates or bytes
+// runs a pending refill first, so no caller observes a stale allocation.
+//
 // Byte accounting is settled lazily per flow (a flow's remaining count is
 // integrated only when its rate changes, it completes, or it is queried),
 // and completions are tracked in an indexed min-heap so the next completion
@@ -162,6 +169,7 @@ func (l *Link) Bytes() float64 {
 		n = l.group.members[0].net
 	}
 	if n != nil {
+		n.flush()
 		for _, f := range l.flows {
 			n.settle(f, n.lastEvent)
 		}
@@ -212,16 +220,51 @@ func (l *Link) subUB(f *Flow) {
 	}
 }
 
-func (l *Link) removeFromList(f *Flow) {
-	for i, g := range l.flows {
-		if g == f {
-			last := len(l.flows) - 1
-			l.flows[i] = l.flows[last]
-			l.flows[last] = nil
-			l.flows = l.flows[:last]
+// listOn appends f to the loose list of its k-th link, recording the
+// position so unlistFrom can remove it without a scan.
+func (f *Flow) listOn(k int) {
+	l := f.Links[k]
+	f.linkPos[k] = int32(len(l.flows))
+	l.flows = append(l.flows, f)
+}
+
+// unlistFrom swap-removes f from the loose list of its k-th link in O(1):
+// the list's last flow moves into f's slot. List order, and with it fill
+// order, is therefore a function of the additions and removals alone.
+func (f *Flow) unlistFrom(k int) {
+	l := f.Links[k]
+	i := f.linkPos[k]
+	last := int32(len(l.flows) - 1)
+	if i != last {
+		g := l.flows[last]
+		l.flows[i] = g
+		g.movePos(l, last, i)
+	}
+	l.flows[last] = nil
+	l.flows = l.flows[:last]
+	f.linkPos[k] = -1
+}
+
+// movePos updates the recorded position of f on link l from one slot to
+// another. A path may cross the same link twice, so the entry is matched by
+// link and old slot.
+func (f *Flow) movePos(l *Link, from, to int32) {
+	for k, lk := range f.Links {
+		if lk == l && f.linkPos[k] == from {
+			f.linkPos[k] = to
 			return
 		}
 	}
+}
+
+// linkIndex returns the position of l in f.Links.
+func (f *Flow) linkIndex(l *Link) int {
+	for k, lk := range f.Links {
+		if lk == l {
+			return k
+		}
+	}
+	panic("flow: link not on the flow's path")
 }
 
 // Flow is a bulk transfer in progress.
@@ -270,6 +313,12 @@ type Flow struct {
 	// smallest — further clamped by MaxRate.
 	minCap, minCap2 float64
 	minCapLink      *Link
+
+	// linkPos[k] is the flow's index in Links[k].flows, or -1 while it is not
+	// listed there (its group's home link). It aliases posBuf for the short
+	// paths every fabric route uses, so tracking positions never allocates.
+	linkPos []int32
+	posBuf  [4]int32
 }
 
 // ubFor returns the flow's provable rate ceiling as seen from link l: no
@@ -290,6 +339,7 @@ func (f *Flow) ubFor(l *Link) float64 {
 // after any net activity at the current instant).
 func (f *Flow) Remaining() float64 {
 	if f.active {
+		f.net.flush()
 		f.net.settle(f, f.net.lastEvent)
 	}
 	return f.remaining
@@ -297,6 +347,9 @@ func (f *Flow) Remaining() float64 {
 
 // Rate returns the current allocated rate in bytes/s.
 func (f *Flow) Rate() float64 {
+	if f.net != nil {
+		f.net.flush()
+	}
 	if f.group != nil {
 		return f.group.rate
 	}
@@ -339,14 +392,40 @@ type Net struct {
 
 	// free list for AcquireFlow/ReleaseFlow
 	free []*Flow
+
+	// Flows started at the current instant whose component has not been
+	// refilled yet. The refill is deferred to the engine's BeforeAdvance
+	// hook (armed once per instant) or to the next read or mutation,
+	// whichever comes first.
+	pending []*Flow
+	armed   bool
+	flushFn func() // cached closure so arming never allocates
+
+	stats Stats
+}
+
+// Stats counts allocator work. Every field is a pure function of the flow
+// operations applied, so two runs of one scenario report identical counts.
+type Stats struct {
+	Starts uint64 // flows passed to Start
+	// Refills counts max-min refills: one per flush of pending starts, per
+	// effective Cancel or SetCapacity, and per sweep that retires flows.
+	Refills       uint64
+	FlowsVisited  uint64 // loose flows collected, summed over refills
+	GroupsVisited uint64 // rate groups collected, summed over refills
+	LinksVisited  uint64 // links collected, summed over refills
 }
 
 // NewNet returns a flow network bound to the engine.
 func NewNet(eng *sim.Engine) *Net {
 	n := &Net{eng: eng}
 	n.sweepFn = n.completionSweep
+	n.flushFn = n.endInstant
 	return n
 }
+
+// Stats returns the allocator's work counters.
+func (n *Net) Stats() Stats { return n.stats }
 
 // Engine returns the simulation engine.
 func (n *Net) Engine() *sim.Engine { return n.eng }
@@ -568,7 +647,7 @@ func (n *Net) leaveToLoose(f *Flow) {
 	} else {
 		f.compT = math.Inf(1)
 	}
-	g.link.flows = append(g.link.flows, f)
+	f.listOn(f.linkIndex(g.link))
 	n.heapPush(f)
 	// If the group was already collected into the component under
 	// construction, the expansion pass may have run past its link: enter the
@@ -591,7 +670,7 @@ func (n *Net) joinGroup(f *Flow, L *Link) {
 		g = &rateGroup{link: L}
 		L.group = g
 	}
-	L.removeFromList(f)
+	f.unlistFrom(f.linkIndex(L))
 	n.insertMember(g, f)
 	// Mirror of the leaveToLoose case: if the joining flow was already part
 	// of the component under construction, its new group's rate must be
@@ -682,6 +761,7 @@ func (n *Net) Start(f *Flow) {
 	if f.Size < 0 || math.IsNaN(f.Size) || math.IsInf(f.Size, 0) {
 		panic(fmt.Sprintf("flow: invalid size %v", f.Size))
 	}
+	n.stats.Starts++
 	f.net = n
 	f.remaining = f.Size
 	if f.Size <= epsBytes {
@@ -728,10 +808,17 @@ func (n *Net) Start(f *Flow) {
 		n.reclassifyCrossing(l)
 	}
 	f.group, f.gIdx = nil, -1
+	if len(f.Links) <= len(f.posBuf) {
+		f.linkPos = f.posBuf[:len(f.Links)]
+	} else {
+		f.linkPos = make([]int32, len(f.Links))
+	}
 	if L := n.groupLinkFor(f); L != nil {
-		for _, l := range f.Links {
+		for k, l := range f.Links {
 			if l != L {
-				l.flows = append(l.flows, f)
+				f.listOn(k)
+			} else {
+				f.linkPos[k] = -1
 			}
 		}
 		g := L.group
@@ -741,16 +828,47 @@ func (n *Net) Start(f *Flow) {
 		}
 		n.insertMember(g, f)
 	} else {
-		for _, l := range f.Links {
-			l.flows = append(l.flows, f)
+		for k := range f.Links {
+			f.listOn(k)
 		}
 		n.heapPush(f)
 	}
-	n.resetComponent()
-	if f.group == nil {
-		n.seedFlow(f)
+	// The refill is shared by every start at this instant: see flush.
+	n.pending = append(n.pending, f)
+	if !n.armed {
+		n.armed = true
+		n.eng.BeforeAdvance(n.flushFn)
 	}
-	n.seedLinks(f.Links)
+}
+
+// endInstant is the engine's BeforeAdvance hook: the instant's starts are
+// all in, so their shared refill runs now.
+func (n *Net) endInstant() {
+	n.armed = false
+	n.flush()
+}
+
+// flush runs the one max-min refill owed by the flows started since the
+// last refill. Each start placed its flow eagerly (saturability bounds,
+// reclassification, group and list membership, heap entry), and starts
+// only ever turn links opaque, so the pending flows and their links seed
+// every component a start touched. Max-min allocation depends only on the
+// flow set, so one refill over that union yields the allocation of the
+// final set. Every read of rates or bytes and every other mutation flushes
+// first, so no caller can observe a stale allocation.
+func (n *Net) flush() {
+	if len(n.pending) == 0 {
+		return
+	}
+	n.resetComponent()
+	for _, f := range n.pending {
+		if f.group == nil {
+			n.seedFlow(f)
+		}
+		n.seedLinks(f.Links)
+	}
+	clear(n.pending)
+	n.pending = n.pending[:0]
 	n.expandComponent()
 	n.recomputeComponent()
 	n.reschedule()
@@ -763,6 +881,7 @@ func (n *Net) Cancel(f *Flow) float64 {
 	if !f.active {
 		return 0
 	}
+	n.flush()
 	n.lastEvent = n.eng.Now()
 	n.settle(f, n.lastEvent)
 	rem := f.remaining
@@ -796,6 +915,7 @@ func (n *Net) SetCapacity(l *Link, c float64) {
 	if c == l.Capacity {
 		return
 	}
+	n.flush()
 	n.lastEvent = n.eng.Now()
 	n.resetComponent()
 	// Force-seed the link itself: even a currently transparent link must have
@@ -955,6 +1075,7 @@ func (n *Net) settleRate(f *Flow, now sim.Time, rate float64) {
 // results aligned with the original "accurate after any net activity at the
 // current instant" contract.
 func (n *Net) settleAll() {
+	n.flush()
 	for _, f := range n.flows {
 		n.settle(f, n.lastEvent)
 	}
@@ -977,9 +1098,9 @@ func (n *Net) deactivate(f *Flow) {
 		n.popMember(g, f)
 	}
 	n.flipped = n.flipped[:0]
-	for _, l := range f.Links {
+	for k, l := range f.Links {
 		if g == nil || l != g.link {
-			l.removeFromList(f)
+			f.unlistFrom(k)
 		}
 		wasT := l.transparent()
 		l.subUB(f)
@@ -1097,6 +1218,10 @@ func (n *Net) expandComponent() {
 // whose allocated rate is unchanged by the fill keep their lazy accounting
 // state untouched: no settle, no completion-heap update.
 func (n *Net) recomputeComponent() {
+	n.stats.Refills++
+	n.stats.FlowsVisited += uint64(len(n.compFlows))
+	n.stats.GroupsVisited += uint64(len(n.compGroups))
+	n.stats.LinksVisited += uint64(len(n.compLinks))
 	if len(n.compFlows) == 0 && len(n.compGroups) == 0 {
 		return
 	}
@@ -1330,6 +1455,7 @@ func (n *Net) reschedule() {
 // its completion delay would vanish under clock round-off), recomputes the
 // affected components, and fires completion callbacks.
 func (n *Net) completionSweep() {
+	n.flush()
 	now := n.eng.Now()
 	n.lastEvent = now
 	n.done = n.done[:0]

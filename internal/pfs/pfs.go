@@ -37,12 +37,21 @@ type FS struct {
 	readBytes  float64
 	writeBytes float64
 	requests   uint64
+	perServer  []float64 // io's per-server byte accumulator, reused across requests
 }
 
-// NewFS creates a file system over the given I/O server nodes.
+// NewFS creates a file system over the given I/O server nodes, which must
+// be distinct.
 func NewFS(c *fabric.Cluster, servers []*fabric.Node, p Params) *FS {
 	if len(servers) == 0 {
 		panic("pfs: need at least one server")
+	}
+	seen := make(map[*fabric.Node]bool, len(servers))
+	for _, s := range servers {
+		if seen[s] {
+			panic(fmt.Sprintf("pfs: server %s listed twice", s))
+		}
+		seen[s] = true
 	}
 	if p.StripeSize <= 0 {
 		panic("pfs: stripe size must be positive")
@@ -124,14 +133,24 @@ func (f *File) span(off, length int64) (first, last int) {
 }
 
 // io performs the data movement common to Read and Write: one flow per
-// server covering that server's share of the addressed bytes.
+// server covering that server's share of the addressed bytes. Stripes map
+// round-robin onto servers, so the servers a request touches, in order of
+// first occurrence, are a rotation starting at the first stripe's server:
+// slot j of the accumulator is server (first+j) mod len(Servers). Each slot
+// sums its stripes in stripe order. The accumulator is reused across
+// requests: it is consumed before the process first yields.
 func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write bool) {
 	fs := f.fs
 	fs.requests++
 	p.Sleep(fs.P.MetadataLatency)
 	first, last := f.span(off, length)
-	perServer := make(map[*fabric.Node]float64)
-	order := make([]*fabric.Node, 0, len(fs.Servers))
+	nsrv := len(fs.Servers)
+	touched := min(last-first+1, nsrv)
+	if cap(fs.perServer) < touched {
+		fs.perServer = make([]float64, nsrv)
+	}
+	perServer := fs.perServer[:touched]
+	clear(perServer)
 	remaining := length
 	for i := first; i <= last; i++ {
 		// Bytes of this stripe actually addressed.
@@ -144,16 +163,12 @@ func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write boo
 			b = remaining
 		}
 		remaining -= b
-		srv := f.server(i)
-		if _, ok := perServer[srv]; !ok {
-			order = append(order, srv)
-		}
-		perServer[srv] += float64(b)
+		perServer[(i-first)%nsrv] += float64(b)
 	}
 	var wg sim.WaitGroup
 	eng := fs.Cluster.Eng
-	for _, srv := range order {
-		bytes := perServer[srv]
+	for j, bytes := range perServer {
+		srv := f.server(first + j)
 		var path []*flow.Link
 		if write {
 			path = fs.Cluster.RemoteWritePath(client, srv)

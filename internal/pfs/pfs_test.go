@@ -123,3 +123,40 @@ func TestOutOfRangePanics(t *testing.T) {
 	}()
 	f.span(50, 100)
 }
+
+// TestPerServerSplit: a request that starts mid-stripe, wraps the server
+// rotation more than once and ends mid-stripe sends each server exactly the
+// addressed bytes of its stripes, one flow per server.
+func TestPerServerSplit(t *testing.T) {
+	eng, c, fs := testFS(3)
+	f := fs.Create("f", 1000)
+	client := c.Nodes[4]
+	// [130, 830): stripe 1 gives 70 bytes, stripes 2..7 give 100 each, stripe
+	// 8 gives 30. Stripe i lives on server i mod 3.
+	want := []float64{0 + 100 + 100, 70 + 100 + 100, 100 + 100 + 30}
+	eng.Go("w", func(p *sim.Proc) {
+		f.Write(p, client, 130, 700, 9)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		if got := fs.Servers[i].Disk.Bytes(); math.Abs(got-w) > 1e-9 {
+			t.Errorf("server %d disk bytes = %v, want %v", i, got, w)
+		}
+	}
+	if got := c.Net.CompletedFlows(); got != 3 {
+		t.Errorf("completed flows = %d, want one per server (3)", got)
+	}
+}
+
+func TestDuplicateServerPanics(t *testing.T) {
+	eng := sim.New()
+	c := fabric.NewCluster(eng, 3, params.DefaultTestbed())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a server listed twice")
+		}
+	}()
+	NewFS(c, []*fabric.Node{c.Nodes[0], c.Nodes[1], c.Nodes[0]}, Params{StripeSize: 100})
+}

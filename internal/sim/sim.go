@@ -114,6 +114,11 @@ type Engine struct {
 	intrCheck func() bool
 	intrEvery int
 	intrLeft  int
+
+	// Hooks armed by BeforeAdvance, run by runHooks just before the clock
+	// moves on. The slice is truncated (not reallocated) after each pass, so
+	// re-arming a hook every instant never allocates.
+	hooks []func()
 }
 
 // New returns a fresh engine with the clock at zero.
@@ -298,6 +303,40 @@ func (e *Engine) interrupted() bool {
 	return e.intrCheck()
 }
 
+// BeforeAdvance arms fn to run once, in engine context, when the current
+// instant ends: the run loops (RunUntil, RunBefore, Step, and through them
+// Drain and ShardSet.Drain) call it when the next event would move the clock
+// forward, or when nothing at or below their limit is left to run — always
+// before their limit check, so an event fn schedules below the limit still
+// runs in the same call. Hooks run in registration order; a hook armed by a
+// running hook runs in the same pass; events fn schedules at the current
+// instant run before the clock moves. Nothing runs while events remain at
+// the current instant. A loop that returns on Stop or an interrupt leaves
+// armed hooks pending, so a resumed run is bit-identical to one that was
+// never interrupted. Hooks are the way to batch work done per event into
+// one pass per instant.
+func (e *Engine) BeforeAdvance(fn func()) {
+	e.hooks = append(e.hooks, fn)
+}
+
+// hooksDue reports whether hooks are armed and the current instant has no
+// events left. The armed check comes first: it is all an event costs when
+// no hook is armed.
+func (e *Engine) hooksDue() bool {
+	return len(e.hooks) > 0 && (len(e.queue) == 0 || e.queue[0].t > e.now)
+}
+
+// runHooks runs every armed hook, including hooks armed while the pass is
+// running.
+func (e *Engine) runHooks() {
+	for i := 0; i < len(e.hooks); i++ {
+		fn := e.hooks[i]
+		e.hooks[i] = nil
+		fn()
+	}
+	e.hooks = e.hooks[:0]
+}
+
 // Run executes events until the queue drains or the engine is stopped.
 // It returns ErrStopped if Stop was called, nil otherwise.
 func (e *Engine) Run() error { return e.RunUntil(math.Inf(1)) }
@@ -311,8 +350,12 @@ func (e *Engine) RunUntil(limit Time) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].t > limit {
+	for !e.stopped {
+		if e.hooksDue() {
+			e.runHooks()
+			continue // a hook may have scheduled work below the limit
+		}
+		if len(e.queue) == 0 || e.queue[0].t > limit {
 			break
 		}
 		if e.interrupted() {
@@ -338,8 +381,12 @@ func (e *Engine) RunBefore(limit Time) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].t >= limit {
+	for !e.stopped {
+		if e.hooksDue() {
+			e.runHooks()
+			continue // a hook may have scheduled work below the limit
+		}
+		if len(e.queue) == 0 || e.queue[0].t >= limit {
 			break
 		}
 		if e.interrupted() {
@@ -374,12 +421,20 @@ func (e *Engine) Drain(limit Time) error {
 }
 
 // Step executes the single next pending event, if any, and reports whether
-// an event ran. Used by tests that need fine-grained control.
+// an event ran. Armed BeforeAdvance hooks run first if the instant has
+// ended, and again before Step returns if the event ended it. Used by tests
+// that need fine-grained control.
 func (e *Engine) Step() bool {
+	if e.hooksDue() {
+		e.runHooks()
+	}
 	if len(e.queue) == 0 {
 		return false
 	}
 	e.fire(e.popEvent())
+	if e.hooksDue() {
+		e.runHooks()
+	}
 	return true
 }
 
