@@ -143,6 +143,8 @@ func main() {
 	}
 	micro("sim/after-fire", benchscen.AfterFire)
 	micro("sim/timer-churn", benchscen.TimerChurn)
+	micro("sim/proc-handoff", benchscen.ProcPingPong)
+	micro("sim/proc-spawn", benchscen.ProcSpawn)
 	for _, shards := range []int{1, 4, 16} {
 		shards := shards
 		micro(fmt.Sprintf("sim/parallel-components-%d", shards),

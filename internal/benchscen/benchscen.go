@@ -98,6 +98,51 @@ func ParallelComponents(b *testing.B, shards int) {
 	}
 }
 
+// ProcPingPong measures the process handoff round trip: one sleeping
+// process resumed once per iteration, parking again straight away.
+func ProcPingPong(b *testing.B) {
+	e := sim.New()
+	stop := false
+	e.Go("pinger", func(p *sim.Proc) {
+		for !stop {
+			p.Sleep(1)
+		}
+	})
+	e.Step() // the process reaches its first sleep
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Step() {
+			b.Fatal("no event")
+		}
+	}
+	b.StopTimer()
+	stop = true
+	e.Step()
+	e.Shutdown()
+}
+
+// ProcSpawn measures a short-lived process's whole life — spawn, first
+// dispatch, one sleep, finish — the pattern of the AsyncWR workload, which
+// spawns one writer process per buffer.
+func ProcSpawn(b *testing.B) {
+	e := sim.New()
+	writer := func(p *sim.Proc) { p.Sleep(1) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Go("writer", writer)
+		if !e.Step() || !e.Step() {
+			b.Fatal("no event")
+		}
+	}
+	b.StopTimer()
+	if e.LiveProcs() != 0 {
+		b.Fatalf("%d writers still live", e.LiveProcs())
+	}
+	e.Shutdown()
+}
+
 // TimerChurn mixes scheduling, eager cancellation, and firing against a
 // standing population of pending timers — the pattern the flow layer's
 // completion rescheduling produces.

@@ -301,6 +301,15 @@ func (s *Scenario) runSharded(cfg cluster.Config, plan *partitionPlan, check fun
 		subs := make([]*Scenario, n)
 		sessions := make([]*session, n)
 		engines := make([]*sim.Engine, n)
+		// Release every engine built so far on an early return or a panic;
+		// the normal path releases them before collecting.
+		defer func() {
+			for _, e := range engines {
+				if e != nil {
+					e.Shutdown()
+				}
+			}
+		}()
 		for i := 0; i < n; i++ {
 			subs[i] = s.subScenario(cfg, plan, i, shared)
 			c2, set2, byName2, err := subs[i].resolve()
@@ -353,8 +362,7 @@ func (s *Scenario) runShard(cfg cluster.Config, plan *partitionPlan, i int, shar
 	if check != nil {
 		ss.tb.Eng.SetInterrupt(interruptStride, check)
 	}
-	runErr := ss.tb.Eng.Drain(sub.opt.horizon)
-	ss.tb.Eng.Shutdown()
+	runErr := drain(ss.tb.Eng, sub.opt.horizon)
 	return sub.collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns), runErr
 }
 
@@ -489,7 +497,10 @@ func (l *lockedObservers) OnEvent(e trace.Event) {
 	}
 }
 
-// parallelFor runs fn(i) for i in [0, n), at most workers at a time.
+// parallelFor runs fn(i) for i in [0, n), at most workers at a time. A
+// panicking call stops its worker; the first panic by worker index is
+// re-raised in the caller once the other workers drain, as in the serial
+// path.
 func parallelFor(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -502,11 +513,13 @@ func parallelFor(n, workers int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	next.Store(-1)
+	panics := make([]any, workers)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() { panics[k] = recover() }()
 			for {
 				i := int(next.Add(1))
 				if i >= n {
@@ -517,6 +530,11 @@ func parallelFor(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // unionFind is a plain disjoint-set forest over node indices.

@@ -672,9 +672,10 @@ func (s *Scenario) Validate() error {
 
 // RunContext is Run with cooperative cancellation: when ctx is canceled (or
 // its deadline passes) the engine stops between two events, every process
-// goroutine is shut down, and the partial Result is returned together with a
+// is shut down, and the partial Result is returned together with a
 // *CanceledError. A context that can never be canceled adds no overhead and
-// runs bit-identically to Run.
+// runs bit-identically to Run. A panic raised inside a simulation process
+// propagates to the caller after the engine has been released.
 func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
 	cfg, set, byName, err := s.resolve()
 	if err != nil {
@@ -704,8 +705,7 @@ func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
 	if check != nil {
 		ss.tb.Eng.SetInterrupt(interruptStride, check)
 	}
-	runErr := ss.tb.Eng.Drain(s.opt.horizon)
-	ss.tb.Eng.Shutdown()
+	runErr := drain(ss.tb.Eng, s.opt.horizon)
 	res := s.collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns)
 	if runErr != nil {
 		if errors.Is(runErr, sim.ErrInterrupted) {
@@ -724,6 +724,15 @@ func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// drain runs eng to the horizon and then releases its processes and idle
+// coroutines, on every return path including a panic raised by a process.
+// Release comes before result collection, as the processes' deferred
+// clean-up may still touch the state collect reads.
+func drain(eng *sim.Engine, horizon float64) error {
+	defer eng.Shutdown()
+	return eng.Drain(horizon)
 }
 
 // build assembles the testbed and spawns every declared process (VM stacks,

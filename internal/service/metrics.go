@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -11,8 +12,8 @@ import (
 // scenarios finish in milliseconds, paper-scale in minutes.
 var wallBuckets = [...]float64{0.01, 0.05, 0.25, 1, 5, 15, 60, 300}
 
-// metricsSet is the daemon's instrumentation: monotonic counters, two gauges
-// and one histogram, hand-rolled (no client library dependency) and rendered
+// metricsSet is the daemon's instrumentation: monotonic counters, three
+// gauges and one histogram, hand-rolled (no client library dependency) and rendered
 // in the Prometheus text exposition format. Exposition order is fixed so
 // /metrics output is deterministic for a given state.
 type metricsSet struct {
@@ -61,6 +62,10 @@ func (m *metricsSet) write(w io.Writer, queueDepth int) {
 	counter("runs_breaker_total", "Runs killed by the per-run wall-clock budget.", m.breaker.Load())
 	gauge("queue_depth", "Runs waiting in the admission queue.", int64(queueDepth))
 	gauge("runs_running", "Runs executing right now.", m.running.Load())
+	// Every simulation process is a runtime coroutine, which counts as a
+	// goroutine: once runs drain, this falls back to its idle level unless
+	// an engine was left holding parked or pooled coroutines.
+	gauge("goroutines", "Goroutines in the daemon, simulation process coroutines included.", int64(runtime.NumGoroutine()))
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -483,6 +483,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		"migsimd_runs_completed_total 1",
 		"migsimd_runs_shed_total 0",
 		"migsimd_queue_depth 0",
+		"migsimd_goroutines ",
 		"migsimd_run_wall_seconds_count 1",
 		`migsimd_run_wall_seconds_bucket{le="+Inf"} 1`,
 	} {

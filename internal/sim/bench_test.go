@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/benchscen"
-	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
 // The event-path scenario bodies live in internal/benchscen so
@@ -23,31 +22,10 @@ func BenchmarkParallelComponents(b *testing.B) {
 	}
 }
 
-// BenchmarkProcPingPong measures the process dispatch round trip: one
+// BenchmarkProcPingPong measures the process handoff round trip: one
 // sleeping process woken once per iteration.
-func BenchmarkProcPingPong(b *testing.B) {
-	e := sim.New()
-	stop := false
-	e.Go("pinger", func(p *sim.Proc) {
-		for !stop {
-			p.Sleep(1)
-		}
-	})
-	// Let the process reach its first sleep.
-	for e.Step() {
-		if e.Now() >= 0.5 {
-			break
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal("no event")
-		}
-	}
-	b.StopTimer()
-	stop = true
-	e.Step()
-	e.Shutdown()
-}
+func BenchmarkProcPingPong(b *testing.B) { benchscen.ProcPingPong(b) }
+
+// BenchmarkProcSpawn measures spawning a process that sleeps once and
+// finishes, the AsyncWR writer pattern.
+func BenchmarkProcSpawn(b *testing.B) { benchscen.ProcSpawn(b) }

@@ -57,6 +57,7 @@ type ShardSet struct {
 	engines []*Engine
 	workers int
 	errs    []error // pooled per-drain scratch
+	panics  []any   // per-shard panics of the current round, pool workers only
 
 	// Persistent worker pool. Guarded by mu; work parks workers between
 	// rounds, idle parks the coordinator until the round completes.
@@ -142,7 +143,7 @@ func (s *ShardSet) worker() {
 			if i >= n {
 				break
 			}
-			fn(i)
+			s.call(fn, i)
 		}
 		s.mu.Lock()
 		s.running--
@@ -153,9 +154,26 @@ func (s *ShardSet) worker() {
 	}
 }
 
+// call runs one shard's work on a pool worker, recording a panic (a
+// simulation process's included) against the shard instead of letting it
+// crash the worker.
+func (s *ShardSet) call(fn func(int), i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics[i] = r
+		}
+	}()
+	fn(i)
+}
+
 // runRound publishes one round of work to the pool and waits for it to
-// complete. The coordinator never mutates round state while workers run.
+// complete. The coordinator never mutates round state while workers run. A
+// shard that panicked re-raises its panic here, on the coordinating
+// goroutine, once the round is over (the lowest shard index wins).
 func (s *ShardSet) runRound(fn func(int), n int) {
+	if len(s.panics) < n {
+		s.panics = make([]any, n)
+	}
 	s.mu.Lock()
 	s.fn, s.n = fn, n
 	s.next.Store(-1)
@@ -167,6 +185,12 @@ func (s *ShardSet) runRound(fn func(int), n int) {
 	}
 	s.fn = nil
 	s.mu.Unlock()
+	for _, r := range s.panics[:n] {
+		if r != nil {
+			clear(s.panics)
+			panic(r)
+		}
+	}
 }
 
 // stopPool retires the persistent workers and joins them.
@@ -264,7 +288,7 @@ func (s *ShardSet) mergeDrain(errs []error, horizon Time) error {
 	return merged
 }
 
-// Shutdown releases every shard's remaining process goroutines (engines are
+// Shutdown releases every shard's remaining process coroutines (engines are
 // shut down in shard order; each engine's own kill order is its spawn order).
 func (s *ShardSet) Shutdown() {
 	for _, e := range s.engines {

@@ -222,7 +222,7 @@ func TestShardSetPoolBarrierStress(t *testing.T) {
 	}
 }
 
-// TestShardSetProcs runs real processes (goroutine-backed) across shards
+// TestShardSetProcs runs real processes (coroutine-backed) across shards
 // concurrently under the race detector: per-shard Sleep chains must finish
 // with the per-shard clocks at their own last event.
 func TestShardSetProcs(t *testing.T) {

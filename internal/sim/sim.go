@@ -2,11 +2,14 @@
 //
 // The kernel follows the classic process-interaction style (as popularized by
 // SimPy): simulation logic is written as ordinary sequential Go code inside
-// processes, and the engine interleaves processes on a virtual clock. Although
-// processes run on goroutines, exactly one goroutine is runnable at any
-// moment — the engine hands control to a process and does not proceed until
-// the process parks again — so simulations are fully deterministic and need
-// no locking.
+// processes, and the engine interleaves processes on a virtual clock. Each
+// process runs on a runtime coroutine (iter.Pull): the engine resumes it and
+// does not proceed until the process yields back by parking, so exactly one
+// of them runs at any moment, simulations are fully deterministic, and they
+// need no locking. A finished process leaves its coroutine on the engine's
+// idle list for the next Go; Stop and Shutdown release the idle coroutines
+// and kill parked processes, so call Shutdown when done with an engine. A
+// panic in a process surfaces from the run loop that resumed it.
 //
 // Time is measured in seconds as float64. Ties between events scheduled for
 // the same instant are broken by scheduling order (a monotonically increasing
@@ -21,7 +24,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"runtime/debug"
 )
 
 // Time is a point on the virtual clock, in seconds.
@@ -30,8 +35,8 @@ type Time = float64
 // Duration is a span of virtual time, in seconds.
 type Duration = float64
 
-// errKilled is panicked inside process goroutines when the engine shuts
-// down; the process wrapper recovers it.
+// errKilled is panicked inside a parked process when the engine shuts down;
+// the coroutine body recovers it.
 var errKilled = errors.New("sim: process killed")
 
 // ErrStopped is returned by Run when the engine was stopped explicitly.
@@ -40,8 +45,8 @@ var ErrStopped = errors.New("sim: engine stopped")
 // ErrInterrupted is returned (wrapped) by the run loops when the interrupt
 // check installed with SetInterrupt reported true: the loop stopped between
 // two events, with the queue and processes intact. Callers that abandon the
-// run must still call Shutdown to release process goroutines. Detect it with
-// errors.Is.
+// run must still call Shutdown to release the process coroutines. Detect it
+// with errors.Is.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // DeadlineError reports that a simulation reached its horizon with work
@@ -100,11 +105,17 @@ type Engine struct {
 	queue   []*event // binary min-heap ordered by (t, seq)
 	free    []*event // recycled event records
 	seq     uint64
-	procs   map[*Proc]struct{}
-	order   []*Proc // live processes in spawn order, for deterministic kill
 	stopped bool
 	running bool
 	current *Proc // process currently executing, nil when in engine context
+
+	// Live processes as an intrusive list in spawn order, which is the
+	// deterministic kill order; finished processes are unlinked at once.
+	head, tail *Proc
+	nlive      int
+	// Coroutines of finished processes, reused by Go and released by Stop
+	// and Shutdown.
+	idle []*coro
 
 	// Interrupt hook (SetInterrupt): checked between events, every
 	// intrEvery firings, by the run loops. The check must be safe to call
@@ -123,7 +134,7 @@ type Engine struct {
 
 // New returns a fresh engine with the clock at zero.
 func New() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -414,7 +425,7 @@ func (e *Engine) Drain(limit Time) error {
 			Horizon: limit,
 			Next:    e.queue[0].t,
 			Pending: len(e.queue),
-			Live:    len(e.procs),
+			Live:    e.nlive,
 		}
 	}
 	return nil
@@ -438,57 +449,48 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Stop terminates the run loop after the current event and kills all live
-// processes so their goroutines exit. The engine cannot be reused afterwards.
+// Stop terminates the run loop after the current event, kills all parked
+// processes and releases the idle coroutines. The engine cannot be reused
+// afterwards.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	// Kill parked processes in spawn order for determinism. Processes that
-	// are currently running will observe stopped at their next park.
-	for _, p := range e.order {
-		if _, live := e.procs[p]; live && p != e.current && p.parked {
-			p.kill()
-		}
-	}
+	// The running process, if Stop was called from one, is left alive: it
+	// parks or finishes when it returns to the engine, and Shutdown or the
+	// end of its function releases its coroutine.
+	e.killParked(e.current)
 }
 
-// Shutdown kills all live processes without requiring Run to be active.
-// Call it after Run returns to release goroutines from an abandoned
-// simulation (e.g. one that ended with blocked processes).
+// Shutdown kills all parked processes and releases the idle coroutines
+// without requiring Run to be active. Call it when done with an engine, and
+// in particular after Run returns from an abandoned simulation (e.g. one
+// that ended with blocked processes): until then the engine holds a
+// coroutine for every blocked process and every reusable finished one.
 func (e *Engine) Shutdown() {
 	e.stopped = true
-	for _, p := range e.order {
-		if _, live := e.procs[p]; live && p.parked {
-			p.kill()
-		}
-	}
+	e.killParked(nil)
 }
 
 // LiveProcs returns the number of processes that have started but not
 // finished. A structurally complete simulation drains to zero.
-func (e *Engine) LiveProcs() int { return len(e.procs) }
+func (e *Engine) LiveProcs() int { return e.nlive }
 
 // PendingEvents returns the number of events still queued. Canceled timers
 // are removed eagerly, so they are never counted.
 func (e *Engine) PendingEvents() int { return len(e.queue) }
 
-// resumeMsg tells a parked process why it is being woken.
-type resumeMsg struct {
-	kill bool
-}
-
 // Proc is a simulation process: sequential code that can sleep on the
 // virtual clock and block on conditions. A Proc must only be used from its
 // own process function.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan resumeMsg
-	yield  chan struct{}
-	parked bool
-	dead   bool
+	eng        *Engine
+	name       string
+	co         *coro // the coroutine running fn; nil once the process has ended
+	prev, next *Proc // neighbours in the engine's spawn-ordered live list
+	parked     bool
+	dead       bool
 }
 
 // Engine returns the engine this process belongs to.
@@ -500,49 +502,105 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
 
+// coro is a recyclable process coroutine: an iter.Pull pair whose body runs
+// one bound process function after another. The engine resumes it with
+// next; the process parks by calling yield, which reports false once stop
+// has been called (the process was killed). When a process function
+// returns, the body yields once more with the coroutine unbound, and the
+// engine keeps it on its idle list for the next Go.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // bound process, nil while idle
+	fn    func(*Proc)
+}
+
+func newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.body)
+	return c
+}
+
+// body is the coroutine's whole life: run bound processes until one is
+// killed or the idle coroutine itself is stopped.
+func (c *coro) body(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run() && yield(struct{}{}) {
+	}
+}
+
+// run executes the bound process function and reports whether it returned
+// normally. A kill is recovered here and ends the coroutine; any other panic
+// is re-raised with the process name and the process's stack, and reaches
+// the goroutine driving the engine through next.
+func (c *coro) run() bool {
+	p := c.p
+	defer func() {
+		p.eng.retire(p)
+		if r := recover(); r != nil {
+			if r == errKilled { //nolint:errorlint // sentinel identity is intended
+				return
+			}
+			panic(fmt.Sprintf("sim: process %q panicked: %v\n\nprocess stack:\n%s", p.name, r, debug.Stack()))
+		}
+	}()
+	c.fn(p)
+	return true
+}
+
 // Go spawns a new process. The function starts executing at the current
 // virtual time, after the spawning context yields to the engine (i.e. it is
-// scheduled, not run inline).
+// scheduled, not run inline). The process runs on an idle coroutine left by
+// a finished process when there is one.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan resumeMsg),
-		yield:  make(chan struct{}),
-		parked: true, // a fresh process waits on resume like a parked one
+	p := &Proc{eng: e, name: name, parked: true} // a fresh process waits like a parked one
+	var c *coro
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = newCoro()
 	}
-	e.procs[p] = struct{}{}
-	e.order = append(e.order, p)
-	go p.top(fn)
+	c.p, c.fn = p, fn
+	p.co = c
+	if e.tail == nil {
+		e.head = p
+	} else {
+		e.tail.next = p
+		p.prev = e.tail
+	}
+	e.tail = p
+	e.nlive++
 	e.scheduleProc(e.now, p)
 	return p
 }
 
-// top is the goroutine entry wrapper: it waits for the first dispatch, runs
-// fn, then announces termination to whoever is driving it.
-func (p *Proc) top(fn func(p *Proc)) {
-	defer func() {
-		p.dead = true
-		delete(p.eng.procs, p)
-		if r := recover(); r != nil {
-			if r == errKilled { //nolint:errorlint // sentinel identity is intended
-				p.yield <- struct{}{}
-				return
-			}
-			// Re-panic application errors on the engine side would lose the
-			// stack; crash here with context instead.
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-		}
-		p.yield <- struct{}{}
-	}()
-	msg := <-p.resume // first dispatch
-	if msg.kill {
-		panic(errKilled)
+// retire marks p ended and unlinks it from the live list. It is idempotent:
+// a process killed before its first dispatch never ran, so kill retires it.
+func (e *Engine) retire(p *Proc) {
+	if p.dead {
+		return
 	}
-	fn(p)
+	p.dead = true
+	if p.prev == nil {
+		e.head = p.next
+	} else {
+		p.prev.next = p.next
+	}
+	if p.next == nil {
+		e.tail = p.prev
+	} else {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
+	e.nlive--
 }
 
-// dispatch hands control to p and returns once p parks or finishes.
+// dispatch hands control to p and returns once p parks or finishes. The
+// coroutine of a finished process goes on the idle list, or is released if
+// the engine has been stopped.
 func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
@@ -550,29 +608,56 @@ func (e *Engine) dispatch(p *Proc) {
 	prev := e.current
 	e.current = p
 	p.parked = false
-	p.resume <- resumeMsg{}
-	<-p.yield
+	c := p.co
+	c.next()
 	e.current = prev
+	if p.dead {
+		p.co = nil
+		c.p, c.fn = nil, nil
+		if e.stopped {
+			c.stop()
+		} else {
+			e.idle = append(e.idle, c)
+		}
+	}
 }
 
-// park yields control back to the engine and blocks until dispatched again.
+// park yields control back to the engine until dispatched again. A false
+// yield means the process was killed: unwind it.
 func (p *Proc) park() {
 	p.parked = true
-	p.yield <- struct{}{}
-	msg := <-p.resume
-	if msg.kill {
+	if !p.co.yield(struct{}{}) {
 		panic(errKilled)
 	}
 }
 
-// kill wakes a parked process with a kill order; its goroutine unwinds.
-func (p *Proc) kill() {
+// kill ends a parked process: its pending yield reports false and its
+// function unwinds before kill returns.
+func (e *Engine) kill(p *Proc) {
 	if p.dead || !p.parked {
 		return
 	}
 	p.parked = false
-	p.resume <- resumeMsg{kill: true}
-	<-p.yield
+	p.co.stop()
+	p.co = nil
+	e.retire(p)
+}
+
+// killParked kills every parked live process except skip, in spawn order,
+// then releases the idle coroutines.
+func (e *Engine) killParked(skip *Proc) {
+	for p := e.head; p != nil; {
+		next := p.next
+		if p != skip && p.parked {
+			e.kill(p)
+		}
+		p = next
+	}
+	for i, c := range e.idle {
+		c.stop()
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
 }
 
 // Sleep suspends the process for d seconds of virtual time. Negative and

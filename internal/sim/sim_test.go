@@ -326,7 +326,7 @@ func TestClockMonotonic(t *testing.T) {
 }
 
 // TestManyProcs exercises the dispatcher with a large number of processes to
-// catch goroutine handoff bugs.
+// catch coroutine handoff bugs.
 func TestManyProcs(t *testing.T) {
 	e := New()
 	total := 0
