@@ -1,218 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 5), one target per artifact, plus ablation benches for the design
-// choices DESIGN.md calls out. Each iteration runs the full simulated
-// experiment; ReportMetric exposes the quantities the paper plots so `go
-// test -bench` output doubles as the reproduction record.
-//
-// Benchmarks default to the small scale so `go test -bench=.` stays fast;
-// set HYBRIDMIG_BENCH_SCALE=paper to run the full Section 5 parameters
-// (the numbers recorded in EXPERIMENTS.md come from that mode).
+// Benchmarks of the public facade end to end. The paper's tables and figures
+// are regenerated by cmd/paperrepro, not here: a benchmark that reports a
+// cached paper metric measures nothing.
 package hybridmig_test
 
 import (
-	"os"
+	"strconv"
 	"testing"
 
 	hybridmig "github.com/hybridmig/hybridmig"
-	"github.com/hybridmig/hybridmig/internal/cluster"
-	"github.com/hybridmig/hybridmig/internal/experiments"
 )
-
-// benchScale picks the run size (small by default; paper via env).
-func benchScale() experiments.Scale {
-	if os.Getenv("HYBRIDMIG_BENCH_SCALE") == "paper" {
-		return experiments.ScalePaper
-	}
-	return experiments.ScaleSmall
-}
-
-func BenchmarkTable1Approaches(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.RunTable1()
-		if len(rows) != 5 {
-			b.Fatal("table 1 must have five approaches")
-		}
-	}
-}
-
-// fig3 caches one full Figure 3 run per scale across the three panel
-// benches (the panels come from the same experiment, as in the paper).
-var fig3Cache = map[experiments.Scale][]experiments.Fig3Row{}
-
-func fig3Rows(b *testing.B) []experiments.Fig3Row {
-	b.Helper()
-	s := benchScale()
-	if rows, ok := fig3Cache[s]; ok {
-		return rows
-	}
-	rows := experiments.RunFig3(s)
-	fig3Cache[s] = rows
-	return rows
-}
-
-func fig3Metric(b *testing.B, pick func(experiments.Fig3Row) float64, unitSuffix string) {
-	b.Helper()
-	var rows []experiments.Fig3Row
-	for i := 0; i < b.N; i++ {
-		rows = fig3Rows(b)
-	}
-	for _, r := range rows {
-		b.ReportMetric(pick(r), string(r.Approach)+"/"+r.Bench+"_"+unitSuffix)
-	}
-}
-
-func BenchmarkFig3aMigrationTime(b *testing.B) {
-	fig3Metric(b, func(r experiments.Fig3Row) float64 { return r.MigrationTime }, "s")
-}
-
-func BenchmarkFig3bNetworkTraffic(b *testing.B) {
-	fig3Metric(b, func(r experiments.Fig3Row) float64 { return r.TrafficMB }, "MB")
-}
-
-func BenchmarkFig3cThroughput(b *testing.B) {
-	b.Helper()
-	var rows []experiments.Fig3Row
-	for i := 0; i < b.N; i++ {
-		rows = fig3Rows(b)
-	}
-	for _, r := range rows {
-		if r.Bench == "IOR" {
-			b.ReportMetric(r.NormReadPct, string(r.Approach)+"/IOR-Read_pct")
-			b.ReportMetric(r.NormWritePct, string(r.Approach)+"/IOR-Write_pct")
-		} else {
-			b.ReportMetric(r.NormWritePct, string(r.Approach)+"/AsyncWR_pct")
-		}
-	}
-}
-
-var fig4Cache = map[experiments.Scale][]experiments.Fig4Row{}
-
-func fig4Rows(b *testing.B) []experiments.Fig4Row {
-	b.Helper()
-	s := benchScale()
-	if rows, ok := fig4Cache[s]; ok {
-		return rows
-	}
-	rows := experiments.RunFig4(s)
-	fig4Cache[s] = rows
-	return rows
-}
-
-func fig4Metric(b *testing.B, pick func(experiments.Fig4Row) float64, unit string) {
-	b.Helper()
-	var rows []experiments.Fig4Row
-	for i := 0; i < b.N; i++ {
-		rows = fig4Rows(b)
-	}
-	for _, r := range rows {
-		b.ReportMetric(pick(r), string(r.Approach)+"/n="+itoa(r.Concurrency)+"_"+unit)
-	}
-}
-
-func BenchmarkFig4aConcurrentMigrationTime(b *testing.B) {
-	fig4Metric(b, func(r experiments.Fig4Row) float64 { return r.AvgMigrationTime }, "s")
-}
-
-func BenchmarkFig4bConcurrentTraffic(b *testing.B) {
-	fig4Metric(b, func(r experiments.Fig4Row) float64 { return r.TrafficGB }, "GB")
-}
-
-func BenchmarkFig4cDegradation(b *testing.B) {
-	fig4Metric(b, func(r experiments.Fig4Row) float64 { return r.DegradationPct }, "pct")
-}
-
-var fig5Cache = map[experiments.Scale][]experiments.Fig5Row{}
-
-func fig5Rows(b *testing.B) []experiments.Fig5Row {
-	b.Helper()
-	s := benchScale()
-	if rows, ok := fig5Cache[s]; ok {
-		return rows
-	}
-	rows := experiments.RunFig5(s)
-	fig5Cache[s] = rows
-	return rows
-}
-
-func fig5Metric(b *testing.B, pick func(experiments.Fig5Row) float64, unit string) {
-	b.Helper()
-	var rows []experiments.Fig5Row
-	for i := 0; i < b.N; i++ {
-		rows = fig5Rows(b)
-	}
-	for _, r := range rows {
-		b.ReportMetric(pick(r), string(r.Approach)+"/m="+itoa(r.Migrations)+"_"+unit)
-	}
-}
-
-func BenchmarkFig5aCM1MigrationTime(b *testing.B) {
-	fig5Metric(b, func(r experiments.Fig5Row) float64 { return r.CumulMigrationTime }, "s")
-}
-
-func BenchmarkFig5bCM1Traffic(b *testing.B) {
-	fig5Metric(b, func(r experiments.Fig5Row) float64 { return r.TrafficGB }, "GB")
-}
-
-func BenchmarkFig5cCM1Slowdown(b *testing.B) {
-	fig5Metric(b, func(r experiments.Fig5Row) float64 { return r.RuntimeIncrease }, "s")
-}
-
-func ablationMetric(b *testing.B, run func(experiments.Scale) []experiments.AblationRow) {
-	b.Helper()
-	var rows []experiments.AblationRow
-	for i := 0; i < b.N; i++ {
-		rows = run(benchScale())
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MigrationTime, r.Label+"_s")
-		b.ReportMetric(r.TrafficMB, r.Label+"_MB")
-	}
-}
-
-func BenchmarkAblateThreshold(b *testing.B)    { ablationMetric(b, experiments.AblateThreshold) }
-func BenchmarkAblatePullPriority(b *testing.B) { ablationMetric(b, experiments.AblatePullPriority) }
-func BenchmarkAblateStripeSize(b *testing.B)   { ablationMetric(b, experiments.AblateStripeSize) }
-func BenchmarkAblateBasePrefetch(b *testing.B) { ablationMetric(b, experiments.AblateBasePrefetch) }
-func BenchmarkAblateDedup(b *testing.B)        { ablationMetric(b, experiments.AblateDedup) }
-func BenchmarkAblateCompression(b *testing.B)  { ablationMetric(b, experiments.AblateCompression) }
-
-// campaignCache keeps one campaign-per-policy run of the orchestrated
-// experiment (our approach) so the four policy benches share it.
-var campaignCache = map[experiments.Scale][]experiments.CampaignRow{}
-
-func campaignRows(b *testing.B) []experiments.CampaignRow {
-	b.Helper()
-	s := benchScale()
-	if rows, ok := campaignCache[s]; ok {
-		return rows
-	}
-	rows := experiments.RunCampaignApproach(s, cluster.OurApproach)
-	campaignCache[s] = rows
-	return rows
-}
-
-func campaignMetric(b *testing.B, pick func(experiments.CampaignRow) float64, unit string) {
-	b.Helper()
-	var rows []experiments.CampaignRow
-	for i := 0; i < b.N; i++ {
-		rows = campaignRows(b)
-	}
-	for _, r := range rows {
-		b.ReportMetric(pick(r), r.Policy+"_"+unit)
-	}
-}
-
-func BenchmarkCampaignMakespan(b *testing.B) {
-	campaignMetric(b, func(r experiments.CampaignRow) float64 { return r.Makespan }, "s")
-}
-
-func BenchmarkCampaignDowntime(b *testing.B) {
-	campaignMetric(b, func(r experiments.CampaignRow) float64 { return r.TotalDowntimeMS }, "ms")
-}
-
-func BenchmarkCampaignTraffic(b *testing.B) {
-	campaignMetric(b, func(r experiments.CampaignRow) float64 { return r.TrafficGB }, "GB")
-}
 
 // BenchmarkFacadeCampaign exercises the orchestration API end to end: a
 // four-VM fleet migrated as one batched campaign through the facade.
@@ -221,7 +17,7 @@ func BenchmarkFacadeCampaign(b *testing.B) {
 		s := hybridmig.NewScenario(hybridmig.WithNodes(8))
 		steps := make([]hybridmig.Step, 4)
 		for k := range steps {
-			name := "vm" + itoa(k)
+			name := "vm" + strconv.Itoa(k)
 			s.AddVM(hybridmig.VMSpec{Name: name, Node: k, Approach: hybridmig.OurApproach})
 			steps[k] = hybridmig.Step{VM: name, Dst: 4 + k}
 		}
@@ -247,21 +43,3 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 		}
 	}
 }
-
-// itoa avoids strconv for tiny positive ints in metric labels.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// Keep the cluster import referenced for the facade's aliases.
-var _ = cluster.OurApproach

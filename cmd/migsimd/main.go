@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof
 	"os"
@@ -43,6 +44,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "migsimd: unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
 	}
+	maxWallD, err := maxWallDuration(*maxWall)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "migsimd: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *pprofSrv != "" {
 		// The profiler gets its own listener so it is never exposed on the
@@ -59,7 +65,7 @@ func main() {
 	srv := service.New(service.Config{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		MaxWall:    time.Duration(*maxWall * float64(time.Second)),
+		MaxWall:    maxWallD,
 	})
 	srv.Start()
 
@@ -96,4 +102,16 @@ func main() {
 		log.Printf("migsimd: pool shutdown: %v", err)
 	}
 	log.Printf("migsimd: bye")
+}
+
+// maxWallDuration converts -max-wall seconds to a duration. A value that
+// time.Duration cannot hold is an error: converted as is, it would wrap
+// negative and the service would silently use its 5-minute default.
+func maxWallDuration(sec float64) (time.Duration, error) {
+	ns := sec * float64(time.Second)
+	if math.IsNaN(ns) || ns >= math.MaxInt64 || ns < math.MinInt64 {
+		return 0, fmt.Errorf("-max-wall %g s does not fit a time.Duration (at most %.0f s)",
+			sec, time.Duration(math.MaxInt64).Seconds())
+	}
+	return time.Duration(ns), nil
 }

@@ -5,8 +5,14 @@
 //
 // Usage:
 //
-//	paperrepro [-experiment table1|fig3|fig4|fig5|campaign|strategies|all]
+//	paperrepro [-experiment table1|fig3|fig4|fig5|campaign|strategies|ablations|all]
 //	           [-scale small|paper] [-json]
+//
+// -experiment ablations sweeps the design choices of the hybrid scheme on the
+// Figure 3 IOR scenario: the write-count threshold, the prioritized pull
+// order, the repository stripe size, the base-image prefetch, and the
+// paper's future-work extensions (dedup, compression). It runs only when
+// named; -experiment all prints the paper's artifacts alone.
 //
 // -experiment strategies lists the full storage-transfer strategy registry —
 // the paper's five approaches plus every strategy registered on top (the
@@ -33,7 +39,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which artifact to regenerate: table1, fig3, fig4, fig5, campaign, strategies, all")
+	exp := flag.String("experiment", "all", "which artifact to regenerate: table1, fig3, fig4, fig5, campaign, strategies, ablations, all (all excludes ablations)")
 	scaleName := flag.String("scale", "small", "run size: small or paper")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	parallel := flag.Int("parallel", 0, "experiment cells to run concurrently (0 = serial, -1 = GOMAXPROCS); output is identical either way")
@@ -166,6 +172,38 @@ func main() {
 				fmt.Println(t)
 			}
 			fmt.Printf("(campaign %s scale: %.1fs wall)\n\n", scale, time.Since(start).Seconds())
+		}
+	}
+	if *exp == "ablations" {
+		ran = true
+		start := time.Now()
+		type ablation struct {
+			Name string                    `json:"name"`
+			Rows []experiments.AblationRow `json:"rows"`
+		}
+		var out []ablation
+		for _, a := range []struct {
+			name string
+			run  func(experiments.Scale) []experiments.AblationRow
+		}{
+			{"threshold", experiments.AblateThreshold},
+			{"priority", experiments.AblatePullPriority},
+			{"stripe", experiments.AblateStripeSize},
+			{"prefetch", experiments.AblateBasePrefetch},
+			{"dedup", experiments.AblateDedup},
+			{"compression", experiments.AblateCompression},
+		} {
+			rows := a.run(scale)
+			if *jsonOut {
+				out = append(out, ablation{a.name, rows})
+			} else {
+				fmt.Println(experiments.AblationTable("Ablation: "+a.name+" ("+scale.String()+" scale, IOR scenario)", rows))
+			}
+		}
+		if *jsonOut {
+			report["ablations"] = out
+		} else {
+			fmt.Printf("(ablations %s scale: %.1fs wall)\n\n", scale, time.Since(start).Seconds())
 		}
 	}
 	if !ran {

@@ -13,15 +13,6 @@ import (
 // single max-min refill, run by the engine's BeforeAdvance hook before the
 // clock moves on, and every read or other mutation flushes first.
 
-// allocatedRate reads a flow's allocated rate without flushing, so tests can
-// see whether the hook (not a read) brought the allocation up to date.
-func allocatedRate(f *Flow) float64 {
-	if f.group != nil {
-		return f.group.rate
-	}
-	return f.rate
-}
-
 // stripedFanIn builds the pvfs-shared pattern: clients striping over every
 // server, each flow crossing one client NIC and one server NIC.
 func stripedFanIn(clients, servers int) (cl, sv []*Link) {
@@ -106,7 +97,7 @@ func checkHookRates(t *testing.T, n *Net, op string) {
 	}
 	want := referenceMaxMin(n)
 	for _, f := range n.flows {
-		got, w := allocatedRate(f), want[f]
+		got, w := f.rate, want[f] // f.rate, not Rate(): a read would flush
 		if math.Abs(got-w) > 1e-6*math.Max(math.Abs(w), 1) {
 			t.Fatalf("after %s: flow seq%d rate %v, waterfilling oracle %v", op, f.seq, got, w)
 		}
@@ -133,7 +124,7 @@ func TestCoalescedBatchesMatchWaterfilling(t *testing.T) {
 				case k < 7:
 					f := &Flow{Size: 10 + 500*rng.Float64()}
 					if rng.Intn(2) == 0 {
-						f.Links = []*Link{links[0]} // hub: rate-group candidate
+						f.Links = []*Link{links[0]} // hub: many flows, one bottleneck
 					} else {
 						for _, i := range rng.Perm(len(links))[:1+rng.Intn(3)] {
 							f.Links = append(f.Links, links[i])

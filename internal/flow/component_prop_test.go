@@ -30,12 +30,6 @@ func detectorComponent(n *Net, f *Flow) map[*Flow]bool {
 	for _, g := range n.compFlows {
 		set[g] = true
 	}
-	// Rate groups are collected as units; their members are component flows.
-	for _, g := range n.compGroups {
-		for _, m := range g.members {
-			set[m] = true
-		}
-	}
 	return set
 }
 
@@ -59,8 +53,8 @@ func bruteCeiling(f *Flow, l *Link) float64 {
 // only if the crossing flows could jointly saturate it.
 func bruteOpaque(l *Link) bool {
 	sum := 0.0
-	for i, cnt := 0, l.crossingCount(); i < cnt; i++ {
-		u := bruteCeiling(l.crossingAt(i), l)
+	for _, f := range l.flows {
+		u := bruteCeiling(f, l)
 		if math.IsInf(u, 1) {
 			return true
 		}
@@ -93,8 +87,8 @@ func bruteComponents(n *Net) map[*Flow]*Flow {
 			if !bruteOpaque(l) {
 				continue
 			}
-			for i, cnt := 0, l.crossingCount(); i < cnt; i++ {
-				parent[find(l.crossingAt(i))] = find(f)
+			for _, g := range l.flows {
+				parent[find(g)] = find(f)
 			}
 		}
 	}

@@ -36,15 +36,12 @@
 // on activation order, and callbacks fire in activation-table order,
 // exactly as the former global recompute did.
 //
-// Flows whose sole potentially-binding link is the same bottleneck (and that
-// carry no individual cap) are aggregated into a rate group: max-min gives
-// every such flow an identical rate, so the group carries one shared rate
-// cell and a cumulative progress accumulator, each member records only the
-// progress value at which it finishes, and a group-wide rate change is a
-// single O(1) anchor advance plus one completion-heap fix for the group's
-// earliest-finishing member (its representative) instead of a settle and a
-// heap repair per member. This is what keeps churn on a saturated link
-// shared by n flows at O(log n) instead of O(n).
+// There is one allocation path: every active flow is listed on every link it
+// crosses, carries its own rate and byte anchor, and holds its own
+// completion-heap entry. A refill therefore costs time linear in the flows
+// of the component it touches. Flows that share their only binding link get
+// equal rates from the fill itself; no workload puts enough of them on one
+// link for aggregating them to pay (DESIGN.md §20).
 package flow
 
 import (
@@ -114,13 +111,8 @@ type Link struct {
 	// affected component and keeps the saturability bounds consistent.
 	Capacity float64
 
-	// flows holds the active flows crossing this link EXCEPT members of this
-	// link's own rate group, which live in group.members instead. A flow is
-	// therefore listed on every transparent link it crosses and on every
-	// opaque link it crosses loosely.
-	flows []*Flow
-	group *rateGroup // lazily created, retained while empty for reuse
-	bytes float64    // total bytes carried (settled lazily; see Bytes)
+	flows []*Flow // active flows crossing this link
+	bytes float64 // total bytes carried (settled lazily; see Bytes)
 
 	// Saturability bound: ubSum is the sum, over crossing flows, of each
 	// flow's provable rate ceiling from its other constraints (cap or other
@@ -134,7 +126,6 @@ type Link struct {
 	frozenRate float64
 	unfrozen   int
 	mark       uint64 // epoch stamp for component collection
-	snapMark   uint64 // epoch stamp for transparency-flip snapshots
 }
 
 // ubMarginFactor keeps a strict margin below capacity in the transparency
@@ -162,48 +153,21 @@ func NewLink(name string, capacity float64) *Link {
 
 // Bytes returns the total number of bytes that have crossed the link.
 func (l *Link) Bytes() float64 {
-	var n *Net
 	if len(l.flows) > 0 {
-		n = l.flows[0].net
-	} else if l.group != nil && len(l.group.members) > 0 {
-		n = l.group.members[0].net
-	}
-	if n != nil {
+		n := l.flows[0].net
 		n.flush()
 		for _, f := range l.flows {
 			n.settle(f, n.lastEvent)
-		}
-		if g := l.group; g != nil {
-			for _, f := range g.members {
-				n.settle(f, n.lastEvent)
-			}
 		}
 	}
 	return l.bytes
 }
 
 // ActiveFlows returns the number of flows currently crossing the link.
-func (l *Link) ActiveFlows() int {
-	c := len(l.flows)
-	if l.group != nil {
-		c += len(l.group.members)
-	}
-	return c
-}
-
-// crossingCount and crossingAt iterate every flow crossing the link: the
-// loose list plus the link's own group members.
-func (l *Link) crossingCount() int { return l.ActiveFlows() }
-
-func (l *Link) crossingAt(i int) *Flow {
-	if i < len(l.flows) {
-		return l.flows[i]
-	}
-	return l.group.members[i-len(l.flows)]
-}
+func (l *Link) ActiveFlows() int { return len(l.flows) }
 
 // addUB / subUB move a flow's saturability contribution onto / off the link;
-// list and group membership are managed separately by the caller.
+// list membership is managed separately by the caller.
 func (l *Link) addUB(f *Flow) {
 	if u := f.ubFor(l); math.IsInf(u, 1) {
 		l.ubInf++
@@ -220,7 +184,7 @@ func (l *Link) subUB(f *Flow) {
 	}
 }
 
-// listOn appends f to the loose list of its k-th link, recording the
+// listOn appends f to the flow list of its k-th link, recording the
 // position so unlistFrom can remove it without a scan.
 func (f *Flow) listOn(k int) {
 	l := f.Links[k]
@@ -228,7 +192,7 @@ func (f *Flow) listOn(k int) {
 	l.flows = append(l.flows, f)
 }
 
-// unlistFrom swap-removes f from the loose list of its k-th link in O(1):
+// unlistFrom swap-removes f from the flow list of its k-th link in O(1):
 // the list's last flow moves into f's slot. List order, and with it fill
 // order, is therefore a function of the additions and removals alone.
 func (f *Flow) unlistFrom(k int) {
@@ -255,16 +219,6 @@ func (f *Flow) movePos(l *Link, from, to int32) {
 			return
 		}
 	}
-}
-
-// linkIndex returns the position of l in f.Links.
-func (f *Flow) linkIndex(l *Link) int {
-	for k, lk := range f.Links {
-		if lk == l {
-			return k
-		}
-	}
-	panic("flow: link not on the flow's path")
 }
 
 // Flow is a bulk transfer in progress.
@@ -300,13 +254,6 @@ type Flow struct {
 	mark       uint64   // epoch stamp for component collection
 	prevRate   float64  // rate before the current component recompute
 
-	// Rate-group state. A grouped flow's remaining count is finishP minus the
-	// group's cumulative progress; its rate is the group's shared rate cell;
-	// only the group's earliest-finishing member sits in net.compHeap.
-	group   *rateGroup // nil while loose
-	gIdx    int        // position in group.members, -1 once removed
-	finishP float64    // group progress value at which this flow completes
-
 	// Two smallest link capacities on the path (for the saturability bound):
 	// the flow's rate ceiling as seen from link l is the smallest capacity
 	// among its OTHER links — minCap, or minCap2 when l is the unique
@@ -314,11 +261,24 @@ type Flow struct {
 	minCap, minCap2 float64
 	minCapLink      *Link
 
-	// linkPos[k] is the flow's index in Links[k].flows, or -1 while it is not
-	// listed there (its group's home link). It aliases posBuf for the short
-	// paths every fabric route uses, so tracking positions never allocates.
+	// linkPos[k] is the flow's index in Links[k].flows. It aliases posBuf for
+	// the short paths every fabric route uses, so tracking positions never
+	// allocates.
 	linkPos []int32
 	posBuf  [4]int32
+}
+
+// scanCaps records the two smallest link capacities on the flow's path.
+func (f *Flow) scanCaps() {
+	f.minCap, f.minCap2, f.minCapLink = math.Inf(1), math.Inf(1), nil
+	for _, l := range f.Links {
+		if l.Capacity < f.minCap {
+			f.minCap2 = f.minCap
+			f.minCap, f.minCapLink = l.Capacity, l
+		} else if l.Capacity < f.minCap2 {
+			f.minCap2 = l.Capacity
+		}
+	}
 }
 
 // ubFor returns the flow's provable rate ceiling as seen from link l: no
@@ -350,9 +310,6 @@ func (f *Flow) Rate() float64 {
 	if f.net != nil {
 		f.net.flush()
 	}
-	if f.group != nil {
-		return f.group.rate
-	}
 	return f.rate
 }
 
@@ -376,19 +333,11 @@ type Net struct {
 	sweepFn    func() // cached closure so rescheduling never allocates
 
 	// reusable scratch for component collection and the sweep batch
-	epoch      uint64
-	compFlows  []*Flow
-	compLinks  []*Link
-	compGroups []*rateGroup
-	ordered    []*Link
-	done       []*Flow
-
-	// reusable scratch for transparency-flip handling
-	flipped   []*Link
-	reclass   []*Flow
-	snapEpoch uint64
-	snapLinks []*Link
-	snapT     []bool
+	epoch     uint64
+	compFlows []*Flow
+	compLinks []*Link
+	ordered   []*Link
+	done      []*Flow
 
 	// free list for AcquireFlow/ReleaseFlow
 	free []*Flow
@@ -410,10 +359,9 @@ type Stats struct {
 	Starts uint64 // flows passed to Start
 	// Refills counts max-min refills: one per flush of pending starts, per
 	// effective Cancel or SetCapacity, and per sweep that retires flows.
-	Refills       uint64
-	FlowsVisited  uint64 // loose flows collected, summed over refills
-	GroupsVisited uint64 // rate groups collected, summed over refills
-	LinksVisited  uint64 // links collected, summed over refills
+	Refills      uint64
+	FlowsVisited uint64 // flows collected, summed over refills
+	LinksVisited uint64 // links collected, summed over refills
 }
 
 // NewNet returns a flow network bound to the engine.
@@ -429,303 +377,6 @@ func (n *Net) Stats() Stats { return n.stats }
 
 // Engine returns the simulation engine.
 func (n *Net) Engine() *sim.Engine { return n.eng }
-
-// A rateGroup aggregates the active flows whose sole opaque (potentially
-// binding) link is this group's link and which carry no per-flow cap. Every
-// other link such a flow crosses is provably transparent, so progressive
-// filling can only ever bind the whole group at its home link's equal share:
-// all members always receive the same rate. The group therefore keeps one
-// rate cell plus a cumulative progress accumulator
-//
-//	P(t) = pAnchor + rate*(t - anchorT)
-//
-// and each member stores only finishP, the progress value at which it
-// drains: remaining(t) = finishP - P(t), a pure read. A group-wide rate
-// change advances (pAnchor, anchorT, rate) in O(1); because P is shared,
-// members' relative completion order is fixed by finishP alone, so only the
-// minimum-finishP member (the representative, members[0]) needs a
-// completion-heap entry, and a rate change costs one heap fix regardless of
-// group size.
-//
-// Two invariants make this sound, both consequences of the saturability
-// bound: (1) an uncapped active flow's narrowest link is always opaque (its
-// ceiling seen from that link is the second-narrowest capacity, which is at
-// least the narrowest), so every uncapped flow has at least one opaque link;
-// (2) while a group has members, each member's ceiling seen from the home
-// link is at least the link's capacity, so ubSum >= capacity and the home
-// link cannot be transparent — membership can only end by reclassification
-// or departure, never by the home link silently vanishing from the fill.
-type rateGroup struct {
-	link    *Link
-	rate    float64 // shared rate cell, bytes/s
-	pAnchor float64 // cumulative progress at anchorT, bytes
-	anchorT sim.Time
-	members []*Flow // indexed min-heap keyed (finishP, seq)
-
-	// fill scratch
-	fillRate float64
-	frozen   bool
-	mark     uint64 // epoch stamp for component collection
-}
-
-// groupRebaseP bounds the magnitude of the progress accumulator: once
-// pAnchor exceeds it, member finishP values are rebased toward zero so the
-// float resolution of finishP - P stays far below epsBytes over arbitrarily
-// long simulations (at 1e12 the absolute error is ~2e-4 bytes).
-const groupRebaseP = 1e12
-
-func (g *rateGroup) progressAt(t sim.Time) float64 {
-	if g.rate <= 0 || t <= g.anchorT {
-		return g.pAnchor
-	}
-	return g.pAnchor + g.rate*(t-g.anchorT)
-}
-
-// timeFor returns the time at which group progress reaches finishP. The
-// (finishP - pAnchor) form mirrors the loose-flow projection
-// now + remaining/rate bit for bit when the anchor was advanced at the same
-// instant.
-func (g *rateGroup) timeFor(finishP float64) sim.Time {
-	if g.rate <= 0 {
-		return math.Inf(1)
-	}
-	base := finishP - g.pAnchor
-	if base < 0 {
-		base = 0
-	}
-	return g.anchorT + base/g.rate
-}
-
-// Member heap: an indexed binary min-heap keyed by (finishP, seq); the root
-// is the group's representative in the net's completion heap.
-
-func (g *rateGroup) gLess(i, j int) bool {
-	a, b := g.members[i], g.members[j]
-	if a.finishP != b.finishP {
-		return a.finishP < b.finishP
-	}
-	return a.seq < b.seq
-}
-
-func (g *rateGroup) gSwap(i, j int) {
-	m := g.members
-	m[i], m[j] = m[j], m[i]
-	m[i].gIdx = i
-	m[j].gIdx = j
-}
-
-func (g *rateGroup) gUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !g.gLess(i, parent) {
-			break
-		}
-		g.gSwap(i, parent)
-		i = parent
-	}
-}
-
-func (g *rateGroup) gDown(i int) {
-	s := len(g.members)
-	for {
-		l := 2*i + 1
-		if l >= s {
-			return
-		}
-		least := l
-		if r := l + 1; r < s && g.gLess(r, l) {
-			least = r
-		}
-		if !g.gLess(least, i) {
-			return
-		}
-		g.gSwap(i, least)
-		i = least
-	}
-}
-
-// insertMember adds an active flow to the group, computing its finish
-// progress from its settled remaining count, and maintains the
-// representative's completion-heap entry. The flow may or may not currently
-// hold a heap entry (fresh start vs. reclassified loose flow); either way,
-// exactly the group's new representative holds one afterwards.
-func (n *Net) insertMember(g *rateGroup, f *Flow) {
-	now := n.lastEvent
-	if len(g.members) == 0 {
-		// Empty group: reset the accumulator so finishP values start small
-		// and the single-member case projects bit-identically to a loose
-		// flow anchored at now.
-		g.pAnchor, g.anchorT, g.rate = 0, now, 0
-	}
-	f.group = g
-	f.finishP = f.remaining + g.progressAt(now)
-	f.lastSettle = now
-	var oldRep *Flow
-	if len(g.members) > 0 {
-		oldRep = g.members[0]
-	}
-	f.gIdx = len(g.members)
-	g.members = append(g.members, f)
-	g.gUp(f.gIdx)
-	if g.members[0] == f {
-		if oldRep != nil {
-			n.heapRemove(oldRep)
-		}
-		f.compT = g.timeFor(f.finishP)
-		if f.heapIdx >= 0 {
-			n.heapFix(f)
-		} else {
-			n.heapPush(f)
-		}
-	} else if f.heapIdx >= 0 {
-		n.heapRemove(f)
-	}
-}
-
-// popMember removes a flow from the group's member heap and, if it was the
-// representative, retires its completion-heap entry and promotes the next
-// member. f.group is left set so callers can still identify the home link;
-// they clear or reuse it.
-func (n *Net) popMember(g *rateGroup, f *Flow) {
-	wasRep := g.members[0] == f
-	i := f.gIdx
-	last := len(g.members) - 1
-	if i != last {
-		g.gSwap(i, last)
-	}
-	g.members[last] = nil
-	g.members = g.members[:last]
-	if i != last {
-		g.gDown(i)
-		g.gUp(i)
-	}
-	f.gIdx = -1
-	if wasRep {
-		if f.heapIdx >= 0 {
-			n.heapRemove(f)
-		}
-		if len(g.members) > 0 {
-			rep := g.members[0]
-			rep.compT = g.timeFor(rep.finishP)
-			n.heapPush(rep)
-		}
-	}
-}
-
-// groupLinkFor returns the link a flow would group on — its sole opaque
-// link — or nil if the flow must stay loose (a per-flow cap, or more than
-// one opaque link).
-func (n *Net) groupLinkFor(f *Flow) *Link {
-	if f.MaxRate > 0 {
-		return nil
-	}
-	var L *Link
-	for _, l := range f.Links {
-		if !l.transparent() {
-			if L != nil {
-				return nil
-			}
-			L = l
-		}
-	}
-	return L
-}
-
-// leaveToLoose converts a grouped flow back to loose allocation: settle its
-// bytes through the group, anchor it at the group's current rate, rejoin the
-// home link's loose list, and give it its own completion-heap entry.
-func (n *Net) leaveToLoose(f *Flow) {
-	g := f.group
-	n.settle(f, n.lastEvent)
-	n.popMember(g, f)
-	f.group = nil
-	f.rate = g.rate
-	f.anchorT = n.lastEvent
-	f.anchorRem = f.remaining
-	if f.rate > 0 {
-		f.compT = n.lastEvent + f.remaining/f.rate
-	} else {
-		f.compT = math.Inf(1)
-	}
-	f.listOn(f.linkIndex(g.link))
-	n.heapPush(f)
-	// If the group was already collected into the component under
-	// construction, the expansion pass may have run past its link: enter the
-	// now-loose flow (and its links) into the component directly. Outside a
-	// collection the marks are stale and the scratch is reset before use, so
-	// this is harmless.
-	if g.mark == n.epoch {
-		n.seedFlow(f)
-		n.seedLinks(f.Links)
-	}
-}
-
-// joinGroup moves a loose active flow into the group of link L (its sole
-// opaque link), removing it from L's loose list; it stays listed on its
-// transparent links.
-func (n *Net) joinGroup(f *Flow, L *Link) {
-	n.settle(f, n.lastEvent)
-	g := L.group
-	if g == nil {
-		g = &rateGroup{link: L}
-		L.group = g
-	}
-	f.unlistFrom(f.linkIndex(L))
-	n.insertMember(g, f)
-	// Mirror of the leaveToLoose case: if the joining flow was already part
-	// of the component under construction, its new group's rate must be
-	// refilled too — pull the group and its home link in directly.
-	if f.mark == n.epoch && g.mark != n.epoch {
-		g.mark = n.epoch
-		n.compGroups = append(n.compGroups, g)
-	}
-	if f.mark == n.epoch {
-		n.seedLink(L)
-	}
-}
-
-// reclassify re-derives one flow's grouping from the current transparency
-// pattern of its links and moves it between loose and grouped allocation as
-// needed. Idempotent; called for each flow crossing a link whose
-// transparency flipped.
-func (n *Net) reclassify(f *Flow) {
-	L := n.groupLinkFor(f)
-	switch {
-	case f.group != nil && (L == nil || L != f.group.link):
-		n.leaveToLoose(f)
-		if L != nil {
-			n.joinGroup(f, L)
-		}
-	case f.group == nil && L != nil:
-		n.joinGroup(f, L)
-	}
-}
-
-// reclassifyCrossing reclassifies every flow crossing a link whose
-// transparency just flipped: the loose list, and — when a capacity raise
-// flipped a populated home link transparent — the link's own group members,
-// each of which now groups elsewhere or goes loose (an uncapped flow's
-// narrowest link is always opaque, so they never strand). A snapshot is
-// iterated because reclassification mutates the lists.
-func (n *Net) reclassifyCrossing(l *Link) {
-	n.reclass = append(n.reclass[:0], l.flows...)
-	if g := l.group; g != nil {
-		n.reclass = append(n.reclass, g.members...)
-	}
-	for _, f := range n.reclass {
-		n.reclassify(f)
-	}
-}
-
-// snapLink records a link's pre-mutation transparency for flip detection.
-func (n *Net) snapLink(l *Link) {
-	if l.snapMark == n.snapEpoch {
-		return
-	}
-	l.snapMark = n.snapEpoch
-	n.snapLinks = append(n.snapLinks, l)
-	n.snapT = append(n.snapT, l.transparent())
-}
 
 // BytesByTag returns the total bytes transferred for the tag across all
 // links (each flow's bytes are counted once, regardless of path length).
@@ -784,55 +435,17 @@ func (n *Net) Start(f *Flow) {
 	n.startSeq++
 	f.index = len(n.flows)
 	n.flows = append(n.flows, f)
-	f.minCap, f.minCap2, f.minCapLink = math.Inf(1), math.Inf(1), nil
-	for _, l := range f.Links {
-		if l.Capacity < f.minCap {
-			f.minCap2 = f.minCap
-			f.minCap, f.minCapLink = l.Capacity, l
-		} else if l.Capacity < f.minCap2 {
-			f.minCap2 = l.Capacity
-		}
-	}
-	// Add the flow's saturability contributions; a link may flip opaque,
-	// which can strip the sole-opaque-link property from flows grouped
-	// elsewhere — reclassify them before placing the new flow.
-	n.flipped = n.flipped[:0]
-	for _, l := range f.Links {
-		wasT := l.transparent()
-		l.addUB(f)
-		if l.transparent() != wasT {
-			n.flipped = append(n.flipped, l)
-		}
-	}
-	for _, l := range n.flipped {
-		n.reclassifyCrossing(l)
-	}
-	f.group, f.gIdx = nil, -1
+	f.scanCaps()
 	if len(f.Links) <= len(f.posBuf) {
 		f.linkPos = f.posBuf[:len(f.Links)]
 	} else {
 		f.linkPos = make([]int32, len(f.Links))
 	}
-	if L := n.groupLinkFor(f); L != nil {
-		for k, l := range f.Links {
-			if l != L {
-				f.listOn(k)
-			} else {
-				f.linkPos[k] = -1
-			}
-		}
-		g := L.group
-		if g == nil {
-			g = &rateGroup{link: L}
-			L.group = g
-		}
-		n.insertMember(g, f)
-	} else {
-		for k := range f.Links {
-			f.listOn(k)
-		}
-		n.heapPush(f)
+	for k, l := range f.Links {
+		l.addUB(f)
+		f.listOn(k)
 	}
+	n.heapPush(f)
 	// The refill is shared by every start at this instant: see flush.
 	n.pending = append(n.pending, f)
 	if !n.armed {
@@ -850,21 +463,19 @@ func (n *Net) endInstant() {
 
 // flush runs the one max-min refill owed by the flows started since the
 // last refill. Each start placed its flow eagerly (saturability bounds,
-// reclassification, group and list membership, heap entry), and starts
-// only ever turn links opaque, so the pending flows and their links seed
-// every component a start touched. Max-min allocation depends only on the
-// flow set, so one refill over that union yields the allocation of the
-// final set. Every read of rates or bytes and every other mutation flushes
-// first, so no caller can observe a stale allocation.
+// link lists, heap entry), and starts only ever turn links opaque, so the
+// pending flows and their links seed every component a start touched.
+// Max-min allocation depends only on the flow set, so one refill over that
+// union yields the allocation of the final set. Every read of rates or
+// bytes and every other mutation flushes first, so no caller can observe a
+// stale allocation.
 func (n *Net) flush() {
 	if len(n.pending) == 0 {
 		return
 	}
 	n.resetComponent()
 	for _, f := range n.pending {
-		if f.group == nil {
-			n.seedFlow(f)
-		}
+		n.seedFlow(f)
 		n.seedLinks(f.Links)
 	}
 	clear(n.pending)
@@ -925,67 +536,28 @@ func (n *Net) SetCapacity(l *Link, c float64) {
 		n.compLinks = append(n.compLinks, l)
 	}
 	n.expandComponent()
-	// Snapshot the pre-change transparency of every link whose saturability
-	// bound the change can move: the link itself plus every link crossed by
-	// one of its crossing flows (loose and grouped alike).
-	n.snapEpoch++
-	n.snapLinks = n.snapLinks[:0]
-	n.snapT = n.snapT[:0]
-	n.snapLink(l)
-	for i, cnt := 0, l.crossingCount(); i < cnt; i++ {
-		for _, lk := range l.crossingAt(i).Links {
-			n.snapLink(lk)
-		}
-	}
 	l.Capacity = c
 	// Every crossing flow's rate ceiling may have changed; re-derive its two
 	// smallest path capacities and move its contribution on every link it
 	// crosses (which may flip those links' transparency).
-	for i, cnt := 0, l.crossingCount(); i < cnt; i++ {
-		f := l.crossingAt(i)
+	for _, f := range l.flows {
 		for _, lk := range f.Links {
 			lk.subUB(f)
 		}
-		f.minCap, f.minCap2, f.minCapLink = math.Inf(1), math.Inf(1), nil
-		for _, lk := range f.Links {
-			if lk.Capacity < f.minCap {
-				f.minCap2 = f.minCap
-				f.minCap, f.minCapLink = lk.Capacity, lk
-			} else if lk.Capacity < f.minCap2 {
-				f.minCap2 = lk.Capacity
-			}
-		}
+		f.scanCaps()
 		for _, lk := range f.Links {
 			lk.addUB(f)
 		}
 	}
-	// Reclassify across transparency flips, then re-expand: links that just
-	// turned opaque join the component and pull their flows in, and groups
-	// that gained or lost members are refilled.
-	for i, lk := range n.snapLinks {
-		if lk.transparent() != n.snapT[i] {
-			n.reclassifyCrossing(lk)
-		}
-	}
+	// Re-expand: every link whose bound moved is crossed by a flow crossing
+	// l, all of which were collected above, so links that just turned opaque
+	// join the component and pull their flows in.
 	for _, f := range n.compFlows {
 		n.seedLinks(f.Links)
-	}
-	for _, g := range n.compGroups {
-		if len(g.members) > 0 {
-			n.seedLink(g.link)
-		}
 	}
 	n.expandComponent()
 	n.recomputeComponent()
 	n.reschedule()
-}
-
-// seedLink adds one link to the component under collection if it is opaque.
-func (n *Net) seedLink(l *Link) {
-	if l.mark != n.epoch && !l.transparent() {
-		l.mark = n.epoch
-		n.compLinks = append(n.compLinks, l)
-	}
 }
 
 // Wait parks the process until the flow completes or is canceled.
@@ -1006,37 +578,8 @@ const epsBytes = 1e-3
 const minStep = 1e-9
 
 // settle integrates elapsed time into the flow's remaining count and its
-// per-link and per-tag byte counters, at the flow's current rate. For a
-// grouped flow the remaining count is read off the group's shared progress
-// accumulator — a pure read, like the loose anchored form.
+// per-link and per-tag byte counters, at the flow's current rate.
 func (n *Net) settle(f *Flow, now sim.Time) {
-	if g := f.group; g != nil {
-		if now <= f.lastSettle {
-			return
-		}
-		f.lastSettle = now
-		base := f.finishP - g.pAnchor
-		if base < 0 {
-			base = 0
-		}
-		rem := base
-		if g.rate > 0 && now > g.anchorT {
-			rem = base - g.rate*(now-g.anchorT)
-			if rem < 0 {
-				rem = 0
-			}
-		}
-		d := f.remaining - rem
-		if d <= 0 {
-			return
-		}
-		f.remaining = rem
-		n.byTag[f.Tag] += d
-		for _, l := range f.Links {
-			l.bytes += d
-		}
-		return
-	}
 	n.settleRate(f, now, f.rate)
 }
 
@@ -1081,11 +624,8 @@ func (n *Net) settleAll() {
 	}
 }
 
-// deactivate unlinks a flow from the network, its links, its group, and the
-// completion heap. The caller settles the flow first. Removing the flow's
-// saturability contributions can flip links transparent, which makes some of
-// the remaining flows groupable; those are reclassified here, before the
-// caller re-expands the component.
+// deactivate unlinks a flow from the network, its links, and the completion
+// heap. The caller settles the flow first.
 func (n *Net) deactivate(f *Flow) {
 	f.active = false
 	last := len(n.flows) - 1
@@ -1093,30 +633,15 @@ func (n *Net) deactivate(f *Flow) {
 	n.flows[f.index].index = f.index
 	n.flows[last] = nil
 	n.flows = n.flows[:last]
-	g := f.group
-	if g != nil && f.gIdx >= 0 {
-		n.popMember(g, f)
-	}
-	n.flipped = n.flipped[:0]
 	for k, l := range f.Links {
-		if g == nil || l != g.link {
-			f.unlistFrom(k)
-		}
-		wasT := l.transparent()
+		f.unlistFrom(k)
 		l.subUB(f)
-		if l.ActiveFlows() == 0 {
+		if len(l.flows) == 0 {
 			l.ubSum = 0 // exact reset: cancels accumulated float drift
 		}
-		if l.transparent() != wasT {
-			n.flipped = append(n.flipped, l)
-		}
 	}
-	f.group = nil
 	n.heapRemove(f)
 	f.rate = 0
-	for _, l := range n.flipped {
-		n.reclassifyCrossing(l)
-	}
 }
 
 // finish marks a flow complete, accounting any remaining round-off sliver,
@@ -1147,7 +672,6 @@ func (n *Net) resetComponent() {
 	n.epoch++
 	n.compFlows = n.compFlows[:0]
 	n.compLinks = n.compLinks[:0]
-	n.compGroups = n.compGroups[:0]
 }
 
 // seedFlow adds a flow to the component under collection.
@@ -1171,31 +695,11 @@ func (n *Net) seedLinks(links []*Link) {
 }
 
 // expandComponent runs the breadth-first closure over the bipartite
-// link/flow sharing graph; compLinks doubles as the work queue. Rate groups
-// are collected as single units: a member's other links are all transparent,
-// so walking into a group's members can never reach new links — the group
-// joins compGroups and the members themselves stay out of compFlows.
+// link/flow sharing graph; compLinks doubles as the work queue.
 func (n *Net) expandComponent() {
 	for i := 0; i < len(n.compLinks); i++ {
-		l := n.compLinks[i]
-		if g := l.group; g != nil && len(g.members) > 0 && g.mark != n.epoch {
-			g.mark = n.epoch
-			n.compGroups = append(n.compGroups, g)
-		}
-		for _, f := range l.flows {
+		for _, f := range n.compLinks[i].flows {
 			if f.mark == n.epoch {
-				continue
-			}
-			if g := f.group; g != nil {
-				// Grouped on another link (this one is transparent for it,
-				// but may sit on the removal path): pull its group in. The
-				// member itself stays unmarked so that if reclassification
-				// turns it loose mid-mutation, it can still join compFlows.
-				if g.mark != n.epoch {
-					g.mark = n.epoch
-					n.compGroups = append(n.compGroups, g)
-				}
-				n.seedLink(g.link)
 				continue
 			}
 			f.mark = n.epoch
@@ -1220,33 +724,17 @@ func (n *Net) expandComponent() {
 func (n *Net) recomputeComponent() {
 	n.stats.Refills++
 	n.stats.FlowsVisited += uint64(len(n.compFlows))
-	n.stats.GroupsVisited += uint64(len(n.compGroups))
 	n.stats.LinksVisited += uint64(len(n.compLinks))
-	if len(n.compFlows) == 0 && len(n.compGroups) == 0 {
+	if len(n.compFlows) == 0 {
 		return
 	}
-	// Reset scratch state, remembering pre-fill rates. Flows that were
-	// reclassified into a group after collection are filled as part of that
-	// group; emptied groups are dead entries.
+	// Reset scratch state, remembering pre-fill rates.
 	anyCapped := false
-	units := 0
 	for _, f := range n.compFlows {
-		if f.group != nil {
-			continue
-		}
 		f.prevRate = f.rate
 		f.frozen = false
 		f.rate = 0
 		anyCapped = anyCapped || f.MaxRate > 0
-		units++
-	}
-	for _, g := range n.compGroups {
-		if len(g.members) == 0 {
-			continue
-		}
-		g.frozen = false
-		g.fillRate = 0
-		units++
 	}
 	// The involved links, in deterministic first-occurrence order, are the
 	// BFS discovery list; only currently-opaque ones participate in the fill
@@ -1258,12 +746,9 @@ func (n *Net) recomputeComponent() {
 			n.ordered = append(n.ordered, l)
 			l.frozenRate = 0
 			l.unfrozen = len(l.flows)
-			if g := l.group; g != nil {
-				l.unfrozen += len(g.members)
-			}
 		}
 	}
-	remaining := units
+	remaining := len(n.compFlows)
 	for remaining > 0 {
 		// Candidate share: the smallest equal-share across constrained
 		// links. Links with no unfrozen flows left are compacted away so
@@ -1282,10 +767,9 @@ func (n *Net) recomputeComponent() {
 		}
 		n.ordered = live
 		if math.IsInf(share, 1) {
-			// Only cap-limited loose flows remain (no shared links); groups
-			// always sit on an opaque link, so none can be left here.
+			// Only cap-limited flows remain (no shared links).
 			for _, f := range n.compFlows {
-				if f.group == nil && !f.frozen {
+				if !f.frozen {
 					f.freezeAt(f.MaxRate)
 					remaining--
 				}
@@ -1297,11 +781,10 @@ func (n *Net) recomputeComponent() {
 		}
 		if anyCapped {
 			// Flows whose individual cap is below the share freeze at their
-			// cap first; this releases capacity for the rest. Groups are
-			// uncapped by construction and never participate.
+			// cap first; this releases capacity for the rest.
 			capped := false
 			for _, f := range n.compFlows {
-				if f.group != nil || f.frozen || f.MaxRate <= 0 || f.MaxRate > share {
+				if f.frozen || f.MaxRate <= 0 || f.MaxRate > share {
 					continue
 				}
 				f.freezeAt(f.MaxRate)
@@ -1312,9 +795,7 @@ func (n *Net) recomputeComponent() {
 				continue
 			}
 		}
-		// Freeze flows on the bottleneck link(s) at the share rate. A whole
-		// group freezes in O(1): one multiply charges the home link, one
-		// decrement retires the unit.
+		// Freeze flows on the bottleneck link(s) at the share rate.
 		for _, l := range n.ordered {
 			if l.unfrozen == 0 {
 				continue
@@ -1330,13 +811,6 @@ func (n *Net) recomputeComponent() {
 					remaining--
 				}
 			}
-			if g := l.group; g != nil && len(g.members) > 0 && !g.frozen {
-				g.frozen = true
-				g.fillRate = share
-				l.frozenRate += share * float64(len(g.members))
-				l.unfrozen -= len(g.members)
-				remaining--
-			}
 		}
 	}
 	// Apply the new allocation: settle elapsed time at the old rate and
@@ -1349,13 +823,8 @@ func (n *Net) recomputeComponent() {
 	// order on (compT, seq), so either repair yields identical sweeps.
 	changed := 0
 	for _, f := range n.compFlows {
-		if f.group == nil && f.rate != f.prevRate {
+		if f.rate != f.prevRate {
 			changed++
-		}
-	}
-	for _, g := range n.compGroups {
-		if len(g.members) > 0 && g.fillRate != g.rate {
-			changed++ // one heap key per group: the representative's
 		}
 	}
 	if changed == 0 {
@@ -1364,7 +833,7 @@ func (n *Net) recomputeComponent() {
 	rebuild := changed*4 >= len(n.compHeap)
 	now := n.eng.Now()
 	for _, f := range n.compFlows {
-		if f.group != nil || f.rate == f.prevRate {
+		if f.rate == f.prevRate {
 			continue
 		}
 		n.settleRate(f, now, f.prevRate)
@@ -1379,49 +848,10 @@ func (n *Net) recomputeComponent() {
 			n.heapFix(f)
 		}
 	}
-	for _, g := range n.compGroups {
-		if len(g.members) == 0 || g.fillRate == g.rate {
-			continue
-		}
-		// Advance the progress accumulator to now at the old rate, then
-		// switch rates: every member's settled state is preserved without
-		// touching any member. Only the representative's projection moves.
-		g.pAnchor = g.progressAt(now)
-		g.anchorT = now
-		g.rate = g.fillRate
-		if g.pAnchor >= groupRebaseP {
-			n.rebaseGroup(g)
-		}
-		rep := g.members[0]
-		rep.compT = g.timeFor(rep.finishP)
-		if !rebuild {
-			n.heapFix(rep)
-		}
-	}
 	if rebuild {
 		for i := len(n.compHeap)/2 - 1; i >= 0; i-- {
 			n.heapDown(i)
 		}
-	}
-}
-
-// rebaseGroup shifts a group's progress origin back to zero, subtracting
-// pAnchor from every member's finishP. Uniform shifts can collapse
-// nearly-equal keys, so the member heap is re-heapified and a representative
-// change is reflected in the completion heap.
-func (n *Net) rebaseGroup(g *rateGroup) {
-	oldRep := g.members[0]
-	for _, m := range g.members {
-		m.finishP -= g.pAnchor
-	}
-	g.pAnchor = 0
-	for i := len(g.members)/2 - 1; i >= 0; i-- {
-		g.gDown(i)
-	}
-	if rep := g.members[0]; rep != oldRep {
-		n.heapRemove(oldRep)
-		rep.compT = g.timeFor(rep.finishP)
-		n.heapPush(rep)
 	}
 }
 
@@ -1471,14 +901,7 @@ func (n *Net) completionSweep() {
 		if !due {
 			break
 		}
-		if g := f.group; g != nil {
-			// Retiring a representative promotes the group's next member
-			// into the heap, so co-due members drain in the same batch.
-			// f.group stays set for deactivate's list bookkeeping.
-			n.popMember(g, f)
-		} else {
-			n.heapRemove(f)
-		}
+		n.heapRemove(f)
 		n.done = append(n.done, f)
 	}
 	if len(n.done) > 0 {

@@ -9,11 +9,11 @@ import (
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
-// This file is the allocation property suite for the rate-group fill: after
+// This file is the allocation property suite for the max-min fill: after
 // every operation of a randomized schedule, the incremental component-scoped
-// recompute (with its rate-group aggregation and transparency shortcuts) is
-// compared flow-by-flow against a from-scratch global max-min waterfilling
-// that knows nothing about components, groups, or transparency. Max-min fair
+// recompute (with its transparency shortcuts) is compared flow-by-flow
+// against a from-scratch global max-min waterfilling that knows nothing
+// about components or transparency. Max-min fair
 // allocations are unique, so any divergence beyond float tolerance means the
 // incremental machinery dropped a constraint or resharing step.
 
@@ -35,8 +35,7 @@ func referenceMaxMin(n *Net) map[*Flow]float64 {
 	share := func(l *Link) (float64, int) {
 		avail := l.Capacity
 		cnt := 0
-		for i, c := 0, l.crossingCount(); i < c; i++ {
-			f := l.crossingAt(i)
+		for _, f := range l.flows {
 			if frozen[f] {
 				avail -= rates[f]
 			} else {
@@ -84,8 +83,7 @@ func referenceMaxMin(n *Net) map[*Flow]float64 {
 				if cnt == 0 || s > minShare*(1+1e-9) {
 					continue
 				}
-				for i, c := 0, l.crossingCount(); i < c; i++ {
-					f := l.crossingAt(i)
+				for _, f := range l.flows {
 					if !frozen[f] {
 						rates[f] = s
 						frozen[f] = true
@@ -112,16 +110,16 @@ func checkRates(t *testing.T, n *Net, op string) {
 		w := want[f]
 		tol := 1e-6 * math.Max(math.Abs(w), 1)
 		if math.Abs(got-w) > tol {
-			grouped := f.group != nil
-			t.Fatalf("after %s: flow seq%d rate %v, waterfilling oracle %v (grouped=%t)",
-				op, f.seq, got, w, grouped)
+			t.Fatalf("after %s: flow seq%d rate %v, waterfilling oracle %v",
+				op, f.seq, got, w)
 		}
 	}
 }
 
 // TestGroupFillMatchesWaterfilling drives randomized shared/capped/
-// transparent/SetCapacity schedules and pins the group-based incremental
-// allocation to the from-scratch oracle after every operation.
+// transparent/SetCapacity schedules and pins the incremental allocation to
+// the from-scratch oracle after every operation. Its hub-heavy schedules put
+// many flows on one bottleneck link.
 func TestGroupFillMatchesWaterfilling(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
@@ -135,15 +133,15 @@ func TestGroupFillMatchesWaterfilling(t *testing.T) {
 			for i := range links {
 				links[i] = NewLink(fmt.Sprintf("l%d", i), (50+150*rng.Float64())*1e6)
 			}
-			// hub concentrates flows so rate groups actually form: most
-			// single-link flows land on it and share one bottleneck.
+			// hub concentrates flows: most single-link flows land on it and
+			// share one bottleneck.
 			hub := links[0]
 
 			ops := 150
 			for op := 0; op < ops; op++ {
 				var desc string
 				switch k := rng.Intn(12); {
-				case k < 4: // start a single-link hub flow (group candidate)
+				case k < 4: // start a single-link hub flow
 					f := &Flow{Tag: TagStoragePush, Links: []*Link{hub}, Size: 1e6 + rng.Float64()*1e11}
 					n.Start(f)
 					desc = fmt.Sprintf("op%d start-hub seq%d", op, f.seq)

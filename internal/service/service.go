@@ -351,10 +351,10 @@ func (s *Server) runOne(r *Run) {
 // into the run's log, classify the outcome.
 func (s *Server) runScenario(r *Run) {
 	budget := s.cfg.MaxWall
-	if w := r.Spec.WallBudgetS; w > 0 {
-		if d := time.Duration(w * float64(time.Second)); d < budget {
-			budget = d
-		}
+	// Compare before converting: a budget beyond the server cap (up to any
+	// finite float) must not overflow time.Duration into a negative one.
+	if ns := r.Spec.WallBudgetS * float64(time.Second); ns > 0 && ns < float64(budget) {
+		budget = time.Duration(ns)
 	}
 	ctx, cancel := context.WithTimeoutCause(r.ctx, budget, ErrWallBudget)
 	defer cancel()

@@ -320,6 +320,26 @@ func TestWallBudgetBreaker(t *testing.T) {
 	}
 }
 
+// TestHugeWallBudgetIsCapped: a spec budget far beyond what time.Duration
+// holds is capped by the server maximum, so the run completes normally
+// instead of failing at once on an overflowed, negative budget.
+func TestHugeWallBudgetIsCapped(t *testing.T) {
+	s := startServer(t, Config{Workers: 1, QueueDepth: 2})
+	sp := quickSpec()
+	sp.WallBudgetS = 1e12
+	r, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, r)
+	if _, reason, state := r.Result(); state != StateSucceeded {
+		t.Fatalf("state %s (%s), want succeeded", state, reason)
+	}
+	if got := s.metrics.breaker.Load(); got != 0 {
+		t.Fatalf("breaker counter = %d, want 0", got)
+	}
+}
+
 // TestStreamOrderingMatchesBus compares the NDJSON stream against an
 // in-process observer on the same spec: same seed, same synchronous bus,
 // so the two event sequences must match record for record.
